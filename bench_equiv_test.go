@@ -1,0 +1,54 @@
+package modemerge
+
+import (
+	"context"
+	"testing"
+
+	"modemerge/internal/core"
+	"modemerge/internal/gen"
+	"modemerge/internal/graph"
+	"modemerge/internal/sdc"
+)
+
+// BenchmarkCheckEquivalence times the validation layer on its own: the
+// 3-pass relation comparison of one merged mode against its three members
+// on the size-curve design at RegsPerStage 32 (about 13k timing nodes).
+// The merge runs once outside the timed loop; every iteration builds
+// fresh analysis contexts, as each CheckEquivalence call does.
+//
+//	go test . -run '^$' -bench CheckEquivalence -benchmem
+func BenchmarkCheckEquivalence(b *testing.B) {
+	gd, err := gen.Generate(gen.DesignSpec{Name: "equiv13k", Seed: 1, Domains: 3, BlocksPerDomain: 2,
+		Stages: 4, RegsPerStage: 32, CloudDepth: 3, CrossPaths: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.Build(gd.Design)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var modes []*sdc.Mode
+	for _, m := range gd.Modes(gen.FamilySpec{Groups: 1, ModesPerGroup: []int{3}}) {
+		mode, _, err := sdc.Parse(m.Name, m.Text, g.Design)
+		if err != nil {
+			b.Fatal(err)
+		}
+		modes = append(modes, mode)
+	}
+	merged, _, err := core.MergeWithGraph(context.Background(), g, modes, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.CheckEquivalence(context.Background(), g, modes, merged, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Equivalent() {
+			b.Fatalf("merge not equivalent: %s", res)
+		}
+	}
+	b.ReportMetric(float64(g.NumNodes()), "nodes")
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -555,6 +556,28 @@ create_clock -name clkA -period 10 [get_ports clk1]
 	}
 	if res.Equivalent() {
 		t.Error("dropped max_delay not detected as optimistic")
+	}
+}
+
+// TestEquivalenceCancelled checks that CheckEquivalence honours its
+// context: a cancelled context returns the context error, including from
+// the pass-3 through-point comparison, whose per-context queries run on
+// the caller's context.
+func TestEquivalenceCancelled(t *testing.T) {
+	g, modes, merged := faultedEquivalenceFixture(t)
+	cx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CheckEquivalence(cx, g, modes, merged, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CheckEquivalence on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	mg, err := newEquivalenceMerger(context.Background(), g, modes, merged, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := g.Node(g.Startpoints()[0]).Name, g.Node(g.Endpoints()[0]).Name
+	res := &EquivalenceResult{}
+	if _, err := mg.checkPass3(cx, start, end, res); !errors.Is(err, context.Canceled) {
+		t.Fatalf("checkPass3 on a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -143,6 +143,65 @@ func TestMergeDeterminismSingleClique(t *testing.T) {
 	}
 }
 
+// faultedEquivalenceFixture merges a small generated design's 3-mode
+// family with subset-only exceptions kept and data refinement skipped.
+// The merged mode then relaxes several path groups, so CheckEquivalence
+// reports a multi-entry OptimisticMismatches list whose order the
+// determinism guarantee covers.
+func faultedEquivalenceFixture(t *testing.T) (*graph.Graph, []*sdc.Mode, *sdc.Mode) {
+	t.Helper()
+	gd, err := gen.Generate(gen.DesignSpec{Name: "eq_fault", Seed: 1, Domains: 2, BlocksPerDomain: 1,
+		Stages: 2, RegsPerStage: 2, CloudDepth: 1, CrossPaths: 2, IOPairs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build(gd.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modes []*sdc.Mode
+	for _, m := range gd.Modes(gen.FamilySpec{Groups: 1, ModesPerGroup: []int{3}, BasePeriod: 2}) {
+		mode, _, err := sdc.Parse(m.Name, m.Text, g.Design)
+		if err != nil {
+			t.Fatalf("mode %s: %v", m.Name, err)
+		}
+		modes = append(modes, mode)
+	}
+	merged, _, err := MergeWithGraph(context.Background(), g, modes, Options{
+		Inject: FaultInjection{KeepSubsetExceptions: true, SkipDataRefinement: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, modes, merged
+}
+
+// TestEquivalenceDeterminism pins CheckEquivalence's mismatch listing:
+// on a merge with several optimistic path groups, OptimisticMismatches is
+// byte-identical across repeated calls and across worker counts (the
+// passes classify in sorted key order, never in map order).
+func TestEquivalenceDeterminism(t *testing.T) {
+	g, modes, merged := faultedEquivalenceFixture(t)
+	mismatches := func(p int) string {
+		res, err := CheckEquivalence(context.Background(), g, modes, merged, Options{Parallelism: p})
+		if err != nil {
+			t.Fatalf("CheckEquivalence(parallelism=%d): %v", p, err)
+		}
+		return strings.Join(res.OptimisticMismatches, "\n")
+	}
+	baseline := mismatches(1)
+	if strings.Count(baseline, "\n") < 1 {
+		t.Fatalf("fixture reports fewer than 2 optimistic mismatches:\n%s", baseline)
+	}
+	for _, p := range []int{1, 4} {
+		for rep := 0; rep < 10; rep++ {
+			if got := mismatches(p); got != baseline {
+				t.Fatalf("parallelism=%d rep=%d mismatch list differs:\n%s",
+					p, rep, firstLineDiff(baseline, got))
+			}
+		}
+	}
+}
+
 // firstLineDiff locates the first differing line of two multi-line
 // strings for a readable failure message.
 func firstLineDiff(a, b string) string {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"modemerge/internal/graph"
 	"modemerge/internal/relation"
@@ -46,6 +45,16 @@ func (r *EquivalenceResult) String() string {
 // waveform). Cancelling cx aborts between and inside the passes with the
 // context error.
 func CheckEquivalence(cx context.Context, g *graph.Graph, individual []*sdc.Mode, merged *sdc.Mode, opt Options) (*EquivalenceResult, error) {
+	mg, err := newEquivalenceMerger(cx, g, individual, merged, opt)
+	if err != nil {
+		return nil, err
+	}
+	return mg.checkEquivalence(cx)
+}
+
+// newEquivalenceMerger builds the member contexts and the context of the
+// given merged mode without merging anything.
+func newEquivalenceMerger(cx context.Context, g *graph.Graph, individual []*sdc.Mode, merged *sdc.Mode, opt Options) (*Merger, error) {
 	mg, err := newMergerWithGraph(cx, g, individual, opt)
 	if err != nil {
 		return nil, err
@@ -56,7 +65,7 @@ func CheckEquivalence(cx context.Context, g *graph.Graph, individual []*sdc.Mode
 	if err := mg.rebuildMerged(); err != nil {
 		return nil, err
 	}
-	return mg.checkEquivalence(cx)
+	return mg, nil
 }
 
 // moreRelaxed reports whether the merged state relaxes the target —
@@ -82,6 +91,18 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		return fmt.Sprintf("%s -> %s [%s/%s %s]: individual=%s merged=%s",
 			k.Start, k.End, k.Launch, k.Capture, k.Check, target.String(), merged.String())
 	}
+	// Passes 1 and 2 classify their groups in map order and collect the
+	// optimistic ones here; flushOptimistic appends them in sorted key
+	// order, so the mismatch list is the one a classification in
+	// sortedRelKeys order would produce (every counter is order-free),
+	// without sorting every group.
+	optimistic := map[sta.RelKey]string{}
+	flushOptimistic := func() {
+		for _, k := range sortedRelKeys(optimistic) {
+			res.OptimisticMismatches = append(res.OptimisticMismatches, optimistic[k])
+		}
+		clear(optimistic)
+	}
 	classify := func(k sta.RelKey, gs *groupStates) (ambiguous bool) {
 		target, ok := gs.target()
 		if !ok {
@@ -100,7 +121,7 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		case ms == ts:
 			res.MatchedGroups++
 		case moreRelaxed(ms, ts):
-			res.OptimisticMismatches = append(res.OptimisticMismatches, describe(k, target, merged))
+			optimistic[k] = describe(k, target, merged)
 		default:
 			res.PessimisticGroups++
 		}
@@ -121,37 +142,39 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 			pass2.add(k.End)
 		}
 	}
+	flushOptimistic()
 	p1.Add("path_groups", int64(len(groups)))
 	p1.Finish()
 
-	// Pass 2 (relations per endpoint computed in parallel).
+	// Pass 2 (relations per endpoint computed in parallel). The forwarded
+	// endpoints warm each context's shared start-tracked propagation under
+	// the refinement's amortization policy, so the endpoint loop below is
+	// pure accumulation instead of one fan-in cone propagation per
+	// endpoint and context. Only the propagation is shared: the check
+	// still gathers and classifies every forwarded endpoint, with no
+	// fingerprint pruning and no outcome replay.
 	p2 := esp.Child("equiv_pass2")
 	ends := pass2.sorted()
 	type sePair struct{ start, end string }
 	pass3 := map[sePair]bool{}
-	seGroupsPerEnd := make([]map[sta.RelKey]*groupStates, len(ends))
-	var firstErr error
-	var errMu sync.Mutex
-	forEachParallel(cx, len(ends), mg.opt.parallelism(), func(i int) {
-		endID, ok := mg.g.NodeByName(ends[i])
+	endIDs := make([]graph.NodeID, len(ends))
+	for i, name := range ends {
+		id, ok := mg.g.NodeByName(name)
 		if !ok {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("internal: endpoint %q not in graph", ends[i])
-			}
-			errMu.Unlock()
-			return
+			p2.Finish()
+			return nil, fmt.Errorf("internal: endpoint %q not in graph", name)
 		}
+		endIDs[i] = id
+	}
+	mg.warmContexts(cx, endIDs, granStartEnd)
+	seGroupsPerEnd := make([]map[sta.RelKey]*groupStates, len(endIDs))
+	forEachParallel(cx, len(endIDs), mg.opt.parallelism(), func(i int) {
 		perModeSE := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
-			perModeSE[m] = ctx.StartEndRelations(endID)
+			perModeSE[m] = ctx.StartEndRelations(endIDs[i])
 		}
-		seGroupsPerEnd[i] = mg.gatherGroups(perModeSE, mg.mctx.StartEndRelations(endID))
+		seGroupsPerEnd[i] = mg.gatherGroups(perModeSE, mg.mctx.StartEndRelations(endIDs[i]))
 	})
-	if firstErr != nil {
-		p2.Finish()
-		return nil, firstErr
-	}
 	if err := cx.Err(); err != nil {
 		p2.Finish()
 		return nil, err
@@ -163,6 +186,7 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 			}
 		}
 	}
+	flushOptimistic()
 	p2.Add("endpoints", int64(len(ends)))
 	p2.Finish()
 
@@ -184,7 +208,7 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 		if err := cx.Err(); err != nil {
 			return nil, err
 		}
-		unresolved, err := mg.checkPass3(p.start, p.end, res)
+		unresolved, err := mg.checkPass3(cx, p.start, p.end, res)
 		if err != nil {
 			return nil, err
 		}
@@ -197,13 +221,16 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 // matches/pessimism/optimism on res. Nodes that remain multi-state on
 // both sides after pass 3 are reported unresolved only when the sets
 // differ.
-func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) ([]string, error) {
+func (mg *Merger) checkPass3(cx context.Context, startName, endName string, res *EquivalenceResult) ([]string, error) {
 	startID, ok1 := mg.g.NodeByName(startName)
 	endID, ok2 := mg.g.NodeByName(endName)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("internal: pass-3 pair %s→%s not in graph", startName, endName)
 	}
-	perModeTR, mergedTR := mg.throughAll(startID, endID)
+	perModeTR, mergedTR := mg.throughAll(cx, startID, endID)
+	if err := cx.Err(); err != nil {
+		return nil, err
+	}
 	perMode := make([]map[graph.NodeID]map[sta.RelKey]relation.Set, len(mg.ctxs))
 	for m := range mg.ctxs {
 		perMode[m] = map[graph.NodeID]map[sta.RelKey]relation.Set{}
@@ -217,7 +244,8 @@ func (mg *Merger) checkPass3(startName, endName string, res *EquivalenceResult) 
 	}
 	var unresolved []string
 	for _, tr := range mergedTR {
-		for k, mergedSet := range tr.States {
+		for _, k := range sortedRelKeys(tr.States) {
+			mergedSet := tr.States[k]
 			states := make([]relation.State, 0, len(mg.ctxs))
 			nodeAmbiguous := false
 			for m := range mg.ctxs {

@@ -17,10 +17,10 @@ import (
 )
 
 // throughAll computes pass-3 relations for every context on the bounded
-// pool.
-func (mg *Merger) throughAll(startID, endID graph.NodeID) (perMode [][]sta.ThroughRel, merged []sta.ThroughRel) {
+// pool. On cancellation the results are partial; callers check cx.Err().
+func (mg *Merger) throughAll(cx context.Context, startID, endID graph.NodeID) (perMode [][]sta.ThroughRel, merged []sta.ThroughRel) {
 	perMode = make([][]sta.ThroughRel, len(mg.ctxs))
-	forEachParallel(context.Background(), len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
+	forEachParallel(cx, len(mg.ctxs)+1, mg.opt.parallelism(), func(m int) {
 		if m == len(mg.ctxs) {
 			merged = mg.mctx.ThroughRelations(startID, endID)
 		} else {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -149,6 +150,84 @@ func TestSlowKnobEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSlowKnobCheckEquivalence extends the Slow contract to the
+// equivalence checker: with NoRelationCache (every pass-2/3 query
+// re-propagates its fan-in cone) the whole EquivalenceResult equals the
+// shared-propagation result, at sequential and parallel worker counts,
+// on clean merges of both fixtures and on an optimistic (faulted) merge.
+func TestSlowKnobCheckEquivalence(t *testing.T) {
+	type check struct {
+		name          string
+		g             *graph.Graph
+		group         []*sdc.Mode
+		merged        *sdc.Mode
+		wantOptimists bool
+	}
+	var checks []check
+	for _, fx := range slowPathFixtures(t) {
+		merged, _, _, err := MergeAll(context.Background(), fx.g, fx.modes, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cliques, err := PlanMerge(fx.g, fx.modes, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, clique := range cliques {
+			var group []*sdc.Mode
+			for _, m := range clique {
+				group = append(group, fx.modes[m])
+			}
+			checks = append(checks, check{fmt.Sprintf("%s/clique%d", fx.name, ci), fx.g, group, merged[ci], false})
+		}
+	}
+	g, modes, merged := faultedEquivalenceFixture(t)
+	checks = append(checks, check{"faulted", g, modes, merged, true})
+
+	pass2Endpoints := int64(0)
+	for _, c := range checks {
+		tr := obs.NewTracer()
+		root := tr.Start("check")
+		base, err := CheckEquivalence(context.Background(), c.g, c.group, c.merged, Options{Parallelism: 1, Trace: root})
+		root.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.wantOptimists == base.Equivalent() {
+			t.Fatalf("%s: Equivalent()=%v, want %v (%s)", c.name, base.Equivalent(), !c.wantOptimists, base)
+		}
+		pass2Endpoints += spanCounter(tr.Tree(), "equiv_pass2", "endpoints")
+		for _, noCache := range []bool{false, true} {
+			for _, p := range []int{1, 4} {
+				got, err := CheckEquivalence(context.Background(), c.g, c.group, c.merged,
+					Options{Parallelism: p, Slow: SlowPaths{NoRelationCache: noCache}})
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s NoRelationCache=%v parallelism=%d:\n got %s %q\nwant %s %q",
+						c.name, noCache, p, got, got.OptimisticMismatches, base, base.OptimisticMismatches)
+				}
+			}
+		}
+	}
+	if pass2Endpoints == 0 {
+		t.Error("no check forwarded an endpoint to pass 2 — the shared propagation was never read")
+	}
+}
+
+// spanCounter sums one counter over every span of the given name.
+func spanCounter(vs []*obs.SpanView, span, counter string) int64 {
+	var n int64
+	for _, v := range vs {
+		if v.Name == span {
+			n += v.Counters[counter]
+		}
+		n += spanCounter(v.Children, span, counter)
+	}
+	return n
 }
 
 // mergeCounters runs a traced merge and sums every span counter.

@@ -443,18 +443,20 @@ func (s *Server) runJob(job *Job) {
 	start := time.Now()
 	result, err := s.execute(ctx, job, req)
 	elapsed := time.Since(start)
+	// Each outcome is logged before finishJob publishes it, so a client
+	// that sees the job finish also sees its log line.
 	var pe *pipeline.PanicError
 	switch {
 	case err == nil:
 		s.results.put(req.resultKey(), result)
 		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsDone }, 1)
-		s.finishJob(job, StatusDone, result, nil)
 		logger.Info("job done", "elapsed_ms", elapsed.Milliseconds())
+		s.finishJob(job, StatusDone, result, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsCanceled }, 1)
-		s.finishJob(job, StatusCanceled, nil, err)
 		logger.Info("job canceled",
 			"stage", job.currentStage(), "elapsed_ms", elapsed.Milliseconds())
+		s.finishJob(job, StatusCanceled, nil, err)
 	case errors.As(err, &pe):
 		// A panic on a pipeline stage goroutine surfaces as an error from
 		// Group.Wait; map it onto the same crash accounting the worker's
@@ -466,10 +468,10 @@ func (s *Server) runJob(job *Job) {
 		s.finishJob(job, StatusFailed, nil, fmt.Errorf("internal error: %v", pe.Value))
 	default:
 		s.metrics.add(func(m *Metrics) *atomic.Int64 { return &m.JobsFailed }, 1)
-		s.finishJob(job, StatusFailed, nil, err)
 		logger.Warn("job failed",
 			"stage", job.currentStage(),
 			"elapsed_ms", elapsed.Milliseconds(), "error", err)
+		s.finishJob(job, StatusFailed, nil, err)
 	}
 }
 
