@@ -52,7 +52,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		designCache = flag.Int("design-cache", 32, "prepared-design cache entries")
 		resultCache = flag.Int("result-cache", 256, "finished-result cache entries")
-		incrCache   = flag.Int("incr-cache", 4096, "incremental sub-merge cache entries (timing contexts, pair verdicts, clique artifacts)")
+		incrCache   = flag.Int("incr-cache", 4096, "incremental sub-merge cache entries per granularity (pair verdicts, clique artifacts, equivalence verdicts; <=0 means 4096); timing contexts last one job")
 		incrDir     = flag.String("incr-cache-dir", "", "persist pair verdicts and clique artifacts under this directory (empty = memory only)")
 		traceExport = flag.String("trace-export", "", "append finished jobs' spans as OTLP-flavored NDJSON to this file (empty = disabled)")
 		flightDir   = flag.String("flight-dir", "", "keep flight recordings of slow/failed/panicked jobs under this directory (empty = disabled)")

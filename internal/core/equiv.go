@@ -43,13 +43,27 @@ func (r *EquivalenceResult) String() string {
 // at the three granularities of §3.2, without modifying anything. The
 // clock mapping is rediscovered structurally (same source set and
 // waveform). Cancelling cx aborts between and inside the passes with the
-// context error.
+// context error. With Options.Cache set, the verdict is replayed from
+// (and stored in) the cache's memory-only equiv granularity.
 func CheckEquivalence(cx context.Context, g *graph.Graph, individual []*sdc.Mode, merged *sdc.Mode, opt Options) (*EquivalenceResult, error) {
+	var key string
+	if opt.Cache != nil {
+		key = equivKey(g, opt, individual, merged)
+		if res, ok := lookupEquiv(opt.Cache, key); ok {
+			opt.Trace.Add("equiv_cache_hit", 1)
+			return res, nil
+		}
+		opt.Trace.Add("equiv_cache_miss", 1)
+	}
 	mg, err := newEquivalenceMerger(cx, g, individual, merged, opt)
 	if err != nil {
 		return nil, err
 	}
-	return mg.checkEquivalence(cx)
+	res, err := mg.checkEquivalence(cx)
+	if err == nil && opt.Cache != nil {
+		storeEquiv(opt.Cache, key, res)
+	}
+	return res, err
 }
 
 // newEquivalenceMerger builds the member contexts and the context of the

@@ -17,11 +17,12 @@ import (
 // This file is the incremental re-merge engine's hook into the merging
 // flow: every cacheable stage of Merge/MergeAll is expressed as a pure
 // function from content-addressed inputs to a serializable output, and
-// consults Options.Cache before computing. Three granularities exist
-// (see internal/incr): per-mode sta contexts, pairwise mergeability
-// verdicts, and whole-clique merge artifacts. Editing one mode of N
-// re-runs only that mode's context build, its N−1 mock merges, and the
-// cliques containing it; an unchanged re-merge is a pure cache replay.
+// consults Options.Cache before computing. The granularities (see
+// internal/incr) are per-mode sta contexts, pairwise mergeability
+// verdicts, whole-clique merge artifacts and equivalence verdicts.
+// Editing one mode of N re-runs only that mode's context build, its N−1
+// mock merges, and the cliques containing it (merge and validation); an
+// unchanged re-merge is a pure cache replay.
 // The difftest harness proves incremental results byte-identical to
 // cold merges (PropIncremental).
 
@@ -254,6 +255,42 @@ func storeClique(cache *incr.Cache, key string, merged *sdc.Mode, report *Report
 		return // unserializable report: skip caching, never fail the merge
 	}
 	cache.PutBytes(incr.GranClique, key, b)
+}
+
+// equivKey addresses one equivalence check: design fingerprint, result-
+// affecting options (fault injections and corners included) and the
+// member and merged modes' names and resolved SDC texts, members in
+// order.
+func equivKey(g *graph.Graph, opt Options, individual []*sdc.Mode, merged *sdc.Mode) string {
+	parts := make([]string, 0, 2*len(individual)+5)
+	parts = append(parts, "equiv", g.Fingerprint(), opt.incrOptionsKey())
+	for _, m := range individual {
+		parts = append(parts, m.Name, sdc.Write(m))
+	}
+	parts = append(parts, merged.Name, sdc.Write(merged))
+	return incr.Hash(parts...)
+}
+
+// lookupEquiv replays a cached equivalence verdict. Each hit decodes a
+// fresh result, so callers may modify what they get.
+func lookupEquiv(cache *incr.Cache, key string) (*EquivalenceResult, bool) {
+	b, ok := cache.GetBytes(incr.GranEquiv, key)
+	if !ok {
+		return nil, false
+	}
+	var res EquivalenceResult
+	if err := json.Unmarshal(b, &res); err != nil {
+		return nil, false
+	}
+	return &res, true
+}
+
+// storeEquiv caches one equivalence verdict. GranEquiv is memory only,
+// so a verdict never leaves the process that computed it.
+func storeEquiv(cache *incr.Cache, key string, res *EquivalenceResult) {
+	if b, err := json.Marshal(res); err == nil {
+		cache.PutBytes(incr.GranEquiv, key, b)
+	}
 }
 
 // stamps collects the member contexts' stamps for artifact metadata.

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"modemerge/internal/graph"
@@ -227,5 +229,126 @@ func TestOptionsKeyExcludesParallelism(t *testing.T) {
 	}
 	if got := (Options{MaxRefineIterations: 9}).incrOptionsKey(); got == base {
 		t.Fatal("MaxRefineIterations missing from the options key")
+	}
+}
+
+// TestEquivalenceVerdictReplay holds the equiv granularity to the
+// uncached check: a cold fill and a warm replay return exactly the
+// uncached EquivalenceResult, mismatch order included, on a faulted
+// merge (several optimistic groups) and on a clean one.
+func TestEquivalenceVerdictReplay(t *testing.T) {
+	g, modes, faulted := faultedEquivalenceFixture(t)
+	clean, _, err := MergeWithGraph(context.Background(), g, modes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		merged *sdc.Mode
+	}{{"faulted", faulted}, {"clean", clean}} {
+		cold, err := CheckEquivalence(context.Background(), g, modes, tc.merged, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "faulted" && len(cold.OptimisticMismatches) < 2 {
+			t.Fatalf("faulted fixture reports %d optimistic mismatches, want >= 2", len(cold.OptimisticMismatches))
+		}
+		cache := incr.New(0)
+		for _, pass := range []string{"cold fill", "warm replay"} {
+			got, err := CheckEquivalence(context.Background(), g, modes, tc.merged, Options{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, cold) {
+				t.Fatalf("%s %s: got %+v, want %+v", tc.name, pass, got, cold)
+			}
+		}
+		if st := cache.Stats().Snapshot(); st.EquivHits != 1 || st.EquivMisses != 1 {
+			t.Fatalf("%s: equiv hits/misses = %d/%d, want 1/1", tc.name, st.EquivHits, st.EquivMisses)
+		}
+	}
+}
+
+// TestEquivalenceVerdictKeyedByFaultsAndText: a faulted and a clean merge
+// of the same members never share a verdict, neither through the merged
+// text nor through fault injections in the check's options.
+func TestEquivalenceVerdictKeyedByFaultsAndText(t *testing.T) {
+	g, modes, faulted := faultedEquivalenceFixture(t)
+	clean, _, err := MergeWithGraph(context.Background(), g, modes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := incr.New(0)
+	check := func(merged *sdc.Mode, inject FaultInjection) *EquivalenceResult {
+		t.Helper()
+		res, err := CheckEquivalence(context.Background(), g, modes, merged, Options{Cache: cache, Inject: inject})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if !check(clean, FaultInjection{}).Equivalent() {
+		t.Fatal("clean merge not equivalent")
+	}
+	if check(faulted, FaultInjection{}).Equivalent() {
+		t.Fatal("faulted merge replayed the clean merge's verdict")
+	}
+	check(clean, FaultInjection{KeepSubsetExceptions: true, SkipDataRefinement: true})
+	if st := cache.Stats().Snapshot(); st.EquivHits != 0 || st.EquivMisses != 3 {
+		t.Fatalf("equiv hits/misses = %d/%d, want 0/3", st.EquivHits, st.EquivMisses)
+	}
+}
+
+// recordingStore is a BlobStore that records every granularity read or
+// written through it.
+type recordingStore struct {
+	*incr.MemStore
+	mu    sync.Mutex
+	grans map[string]bool
+}
+
+func (s *recordingStore) note(gran string) {
+	s.mu.Lock()
+	s.grans[gran] = true
+	s.mu.Unlock()
+}
+
+func (s *recordingStore) Get(gran, key string) ([]byte, error) {
+	s.note(gran)
+	return s.MemStore.Get(gran, key)
+}
+
+func (s *recordingStore) Put(gran, key string, val []byte) error {
+	s.note(gran)
+	return s.MemStore.Put(gran, key, val)
+}
+
+// TestEquivalenceVerdictsBypassStore: with an artifact store attached,
+// equiv verdicts are still cached (in memory) but never touch the store.
+func TestEquivalenceVerdictsBypassStore(t *testing.T) {
+	g, modes, faulted := faultedEquivalenceFixture(t)
+	store := &recordingStore{MemStore: incr.NewMemStore(), grans: map[string]bool{}}
+	cache := incr.New(0).WithStore(store)
+	opt := Options{Cache: cache}
+	merged, _, _, err := MergeAll(context.Background(), g, modes, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*sdc.Mode{merged[0], faulted, merged[0]} {
+		if _, err := CheckEquivalence(context.Background(), g, modes, m, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cache.Stats().Snapshot(); st.EquivHits != 1 || st.EquivMisses != 2 {
+		t.Fatalf("equiv hits/misses = %d/%d, want 1/2", st.EquivHits, st.EquivMisses)
+	}
+	if !store.grans[string(incr.GranClique)] {
+		t.Fatal("store saw no clique artifact: write-through is not wired")
+	}
+	if store.grans[string(incr.GranEquiv)] {
+		t.Fatal("an equiv verdict touched the artifact store")
+	}
+	if infos, _ := store.List(string(incr.GranEquiv), ""); len(infos) != 0 {
+		t.Fatalf("store holds %d equiv entries", len(infos))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"modemerge/internal/core"
@@ -314,7 +315,10 @@ func checkHierarchical(cx context.Context, tg *graph.Graph, hier *netlist.HierDe
 //  2. perturbs one mode deterministically (an extra clock-uncertainty
 //     line, i.e. "the user edited one mode file"), and compares the
 //     warm incremental re-merge of the perturbed family against a cold
-//     cacheless merge of it.
+//     cacheless merge of it;
+//  3. checks every multi-member clique of the perturbed family with and
+//     without the cache: the cached and replayed equivalence verdicts
+//     must equal the uncached one.
 func checkIncremental(cx context.Context, tg *graph.Graph, modes []*sdc.Mode, baseMerged []*sdc.Mode, baseReports []*core.Report, opt core.Options) []Violation {
 	violate := func(detail string) []Violation {
 		return []Violation{{Property: PropIncremental, Clique: "*", Count: 1, Details: []string{detail}}}
@@ -387,7 +391,7 @@ func checkIncremental(cx context.Context, tg *graph.Graph, modes []*sdc.Mode, ba
 	if err != nil {
 		return violate("cold perturbed explain marshal error: " + err.Error())
 	}
-	warmMerged, warmReports, _, err := core.MergeAll(cx, tg, perturbed, cacheOpt)
+	warmMerged, warmReports, warmMB, err := core.MergeAll(cx, tg, perturbed, cacheOpt)
 	if err != nil {
 		return violate("warm incremental re-merge of perturbed family: " + err.Error())
 	}
@@ -398,6 +402,33 @@ func checkIncremental(cx context.Context, tg *graph.Graph, modes []*sdc.Mode, ba
 	if warmFP != coldFP {
 		return violate("incremental re-merge after one-mode edit differs from cold merge: " +
 			firstDiff(coldFP, warmFP))
+	}
+
+	// Validation verdicts replay exactly too: per multi-member clique of
+	// the perturbed family, the uncached check, the check that fills the
+	// cache and the one replaying from it return equal results.
+	for ci, clique := range warmMB.Cliques() {
+		if len(clique) < 2 {
+			continue
+		}
+		group := make([]*sdc.Mode, len(clique))
+		for i, mi := range clique {
+			group[i] = perturbed[mi]
+		}
+		cold, err := core.CheckEquivalence(cx, tg, group, warmMerged[ci], opt)
+		if err != nil {
+			return violate("cold equivalence check of perturbed clique: " + err.Error())
+		}
+		for _, pass := range []string{"cache fill", "cache replay"} {
+			warm, err := core.CheckEquivalence(cx, tg, group, warmMerged[ci], cacheOpt)
+			if err != nil {
+				return violate(pass + " equivalence check of perturbed clique: " + err.Error())
+			}
+			if !reflect.DeepEqual(warm, cold) {
+				return violate(fmt.Sprintf("%s equivalence verdict on %s differs from the uncached check: %v vs %v",
+					pass, warmMerged[ci].Name, warm, cold))
+			}
+		}
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package incr is the incremental re-merge engine's content-addressed
 // sub-merge cache. Every input of the merging flow — the timing graph,
 // each mode's resolved SDC text, the merge options — hashes to a stable
-// digest, and the flow's intermediate products are cached at three
+// digest, and the flow's intermediate products are cached at these
 // granularities keyed by those digests:
 //
 //   - per-mode sta timing contexts (memory only: a built context is a
@@ -9,15 +9,21 @@
 //     to serialize),
 //   - pairwise mergeability verdicts from the mock-merge analysis,
 //   - per-clique preliminary-merge + refinement artifacts (the merged
-//     SDC text plus the full merge report).
+//     SDC text plus the full merge report),
+//   - equivalence-check verdicts on a merged mode (memory only).
 //
 // Editing one mode of N therefore re-runs only that mode's context
 // build, its N−1 mergeability pairs, and the cliques containing it —
 // everything else is a cache hit. Keys are content addresses, so
 // invalidation is automatic: a changed input simply hashes to a new key
-// and the stale entry ages out of the LRU. Explicit invalidation
-// (InvalidatePrefix, Clear) exists for operators who want to drop state
-// eagerly.
+// and the stale entry ages out of its granularity's LRU. Each
+// granularity has its own LRU, so a burst of small entries of one kind
+// (a many-mode family's pair verdicts) never evicts another kind.
+//
+// A Scope is a short-lived view of a cache — one per service job — that
+// keeps timing contexts to itself and shares everything else: the
+// job's stages reuse each other's contexts, and the contexts are freed
+// with the job instead of pinning the heap of a long-lived server.
 //
 // The cache is safe for concurrent use. An optional artifact store (see
 // BlobStore: disk, in-memory, or S3-style HTTP backends) persists the
@@ -32,14 +38,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Granularity names one cached sub-merge product class. It prefixes
-// every key, so one store serves all three granularities without
+// every store key, so one store serves all granularities without
 // collisions.
 type Granularity string
 
@@ -66,7 +71,16 @@ const (
 	// only, like GranContext, but counted separately so the per-mode
 	// context reuse contract stays observable on its own counters.
 	GranMergedCtx Granularity = "mctx"
+	// GranEquiv caches equivalence-check verdicts, keyed by design,
+	// options, member texts and merged text. Memory only: never read
+	// from or written to the artifact store, so every replayed verdict
+	// was computed by this process on exactly those inputs.
+	GranEquiv Granularity = "equiv"
 )
+
+// persisted reports whether a byte granularity writes through to (and
+// falls back on) the artifact store.
+func persisted(g Granularity) bool { return g != GranEquiv }
 
 // Hash is the cache's content address: SHA-256 over length-prefixed
 // parts, so no concatenation of parts can collide with a different
@@ -90,6 +104,7 @@ type Stats struct {
 	CliqueHits, CliqueMisses       atomic.Int64
 	ETMHits, ETMMisses             atomic.Int64
 	MergedCtxHits, MergedCtxMisses atomic.Int64
+	EquivHits, EquivMisses         atomic.Int64
 }
 
 // StatsSnapshot is the JSON-ready view of Stats.
@@ -104,6 +119,8 @@ type StatsSnapshot struct {
 	ETMMisses       int64 `json:"etm_misses"`
 	MergedCtxHits   int64 `json:"merged_ctx_hits,omitempty"`
 	MergedCtxMisses int64 `json:"merged_ctx_misses,omitempty"`
+	EquivHits       int64 `json:"equiv_hits"`
+	EquivMisses     int64 `json:"equiv_misses"`
 }
 
 func (s *Stats) hit(g Granularity) {
@@ -118,6 +135,8 @@ func (s *Stats) hit(g Granularity) {
 		s.ETMHits.Add(1)
 	case GranMergedCtx:
 		s.MergedCtxHits.Add(1)
+	case GranEquiv:
+		s.EquivHits.Add(1)
 	}
 }
 
@@ -133,6 +152,8 @@ func (s *Stats) miss(g Granularity) {
 		s.ETMMisses.Add(1)
 	case GranMergedCtx:
 		s.MergedCtxMisses.Add(1)
+	case GranEquiv:
+		s.EquivMisses.Add(1)
 	}
 }
 
@@ -149,17 +170,23 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ETMMisses:       s.ETMMisses.Load(),
 		MergedCtxHits:   s.MergedCtxHits.Load(),
 		MergedCtxMisses: s.MergedCtxMisses.Load(),
+		EquivHits:       s.EquivHits.Load(),
+		EquivMisses:     s.EquivMisses.Load(),
 	}
 }
 
-// Cache is one incremental sub-merge cache: a bounded in-memory LRU over
-// all three granularities plus an optional BlobStore behind the
-// serializable ones. The zero value is not usable; construct with New.
+// Cache is one incremental sub-merge cache: a bounded in-memory LRU per
+// granularity plus an optional BlobStore behind the persisted ones. The
+// zero value is not usable; construct with New (or Scope).
 type Cache struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	entries map[string]*list.Element
+	// shared owns the byte granularities, the artifact store, the
+	// counters and the hit observer: the cache itself, or for a Scope
+	// view the cache it was scoped from.
+	shared *Cache
+
+	mu       sync.Mutex
+	cap      int                      // entries per granularity
+	segments map[Granularity]*segment // objects; bytes too unless a scope
 
 	store BlobStore // optional artifact store; nil = memory only
 	stats Stats
@@ -171,14 +198,19 @@ type Cache struct {
 	hitObserver atomic.Pointer[func(Granularity, time.Duration)]
 }
 
+// segment is one granularity's LRU.
+type segment struct {
+	order   *list.List // front = most recently used
+	entries map[string]*list.Element
+}
+
 type entry struct {
 	key   string
 	value any
-	bytes bool // value is []byte (serializable granularity)
 }
 
-// New creates a memory-only cache holding at most capacity entries
-// across all granularities (minimum 16; default 4096 when capacity <= 0).
+// New creates a memory-only cache holding at most capacity entries per
+// granularity (minimum 16; default 4096 when capacity <= 0).
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = 4096
@@ -186,10 +218,24 @@ func New(capacity int) *Cache {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Cache{cap: capacity, order: list.New(), entries: map[string]*list.Element{}}
+	c := &Cache{cap: capacity, segments: map[Granularity]*segment{}}
+	c.shared = c
+	return c
 }
 
-// WithDisk layers a filesystem artifact store under the serializable
+// Scope returns a view of the cache for one unit of work, such as one
+// service job. Objects (the timing-context granularities) put through
+// the scope live only in the scope — invisible to the cache and to
+// other scopes, and freed with the scope — so a job's stages share its
+// contexts without a long-lived cache pinning them between jobs. Bytes,
+// the artifact store, the counters and the hit observer are the
+// cache's own. A scope holds at most the cache's capacity per
+// granularity.
+func (c *Cache) Scope() *Cache {
+	return &Cache{shared: c.shared, cap: c.cap, segments: map[Granularity]*segment{}}
+}
+
+// WithDisk layers a filesystem artifact store under the persisted
 // granularities (pair verdicts, clique artifacts). It is a thin adapter
 // over WithStore with the DiskStore backend.
 func (c *Cache) WithDisk(dir string) (*Cache, error) {
@@ -200,48 +246,53 @@ func (c *Cache) WithDisk(dir string) (*Cache, error) {
 	return c.WithStore(d), nil
 }
 
-// WithStore layers an artifact store under the serializable
+// WithStore layers an artifact store under the persisted
 // granularities: GetBytes falls through to the store on a memory miss
 // and promotes hits back into memory; PutBytes writes through. The store
 // may be shared with other caches and other processes — entries are
 // content-addressed, so cross-process sharing needs no coordination.
+// On a scope it sets the store of the cache the scope was taken from.
 func (c *Cache) WithStore(s BlobStore) *Cache {
-	c.mu.Lock()
-	c.store = s
-	c.mu.Unlock()
+	sh := c.shared
+	sh.mu.Lock()
+	sh.store = s
+	sh.mu.Unlock()
 	return c
 }
 
 // Store returns the cache's artifact store (nil when memory only).
 func (c *Cache) Store() BlobStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
+	sh := c.shared
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.store
 }
 
-// Stats exposes the hit/miss counters.
-func (c *Cache) Stats() *Stats { return &c.stats }
+// Stats exposes the hit/miss counters (a scope's are its cache's).
+func (c *Cache) Stats() *Stats { return &c.shared.stats }
 
 // SetHitObserver installs (or, with nil, removes) the hit-latency
 // callback. The observer must be fast and safe for concurrent use — it
 // runs inline on every hit of every merge worker.
 func (c *Cache) SetHitObserver(fn func(Granularity, time.Duration)) {
 	if fn == nil {
-		c.hitObserver.Store(nil)
+		c.shared.hitObserver.Store(nil)
 		return
 	}
-	c.hitObserver.Store(&fn)
+	c.shared.hitObserver.Store(&fn)
 }
 
-// observeHit reports one hit's lookup latency. start is zero when the
-// lookup path skipped the clock because no observer was installed at
-// entry; re-check is deliberate so a racing SetHitObserver never
+// hit counts one hit and reports its lookup latency. start is zero when
+// the lookup path skipped the clock because no observer was installed
+// at entry; re-check is deliberate so a racing SetHitObserver never
 // produces a garbage duration.
-func (c *Cache) observeHit(g Granularity, start time.Time) {
+func (c *Cache) hit(g Granularity, start time.Time) {
+	sh := c.shared
+	sh.stats.hit(g)
 	if start.IsZero() {
 		return
 	}
-	if fn := c.hitObserver.Load(); fn != nil {
+	if fn := sh.hitObserver.Load(); fn != nil {
 		(*fn)(g, time.Since(start))
 	}
 }
@@ -249,134 +300,110 @@ func (c *Cache) observeHit(g Granularity, start time.Time) {
 // hitStart returns the clock reading lookups use to time hits, or zero
 // when no observer is installed (skipping the syscall).
 func (c *Cache) hitStart() time.Time {
-	if c.hitObserver.Load() != nil {
+	if c.shared.hitObserver.Load() != nil {
 		return time.Now()
 	}
 	return time.Time{}
 }
 
-func fullKey(g Granularity, key string) string { return string(g) + "\x00" + key }
-
-// GetObject looks an in-memory object up (context granularity). It never
-// consults the disk store.
+// GetObject looks an in-memory object up (context granularities). It
+// never consults the artifact store.
 func (c *Cache) GetObject(g Granularity, key string) (any, bool) {
 	start := c.hitStart()
-	// The value must be read under the lock: put overwrites entry.value
-	// in place when a key is re-stored.
-	c.mu.Lock()
-	el, ok := c.entries[fullKey(g, key)]
-	var v any
-	if ok {
-		c.order.MoveToFront(el)
-		v = el.Value.(*entry).value
-	}
-	c.mu.Unlock()
+	v, ok := c.get(g, key)
 	if !ok {
-		c.stats.miss(g)
+		c.shared.stats.miss(g)
 		return nil, false
 	}
-	c.stats.hit(g)
-	c.observeHit(g, start)
+	c.hit(g, start)
 	return v, true
 }
 
-// PutObject stores an in-memory object (context granularity).
+// PutObject stores an in-memory object (context granularities).
 func (c *Cache) PutObject(g Granularity, key string, v any) {
-	c.put(fullKey(g, key), v, false)
+	c.put(g, key, v)
 }
 
 // GetBytes looks a serialized value up: memory first, then the artifact
-// store (when configured), promoting store hits into memory.
+// store (when configured and g is persisted), promoting store hits into
+// memory.
 func (c *Cache) GetBytes(g Granularity, key string) ([]byte, bool) {
+	sh := c.shared
 	start := c.hitStart()
-	fk := fullKey(g, key)
-	c.mu.Lock()
-	el, ok := c.entries[fk]
-	var v []byte
-	if ok {
-		c.order.MoveToFront(el)
-		v = el.Value.(*entry).value.([]byte)
+	if v, ok := sh.get(g, key); ok {
+		c.hit(g, start)
+		return v.([]byte), true
 	}
-	store := c.store
-	c.mu.Unlock()
-	if ok {
-		c.stats.hit(g)
-		c.observeHit(g, start)
-		return v, true
-	}
-	if store != nil {
+	if store := sh.Store(); store != nil && persisted(g) {
 		if b, err := store.Get(string(g), key); err == nil {
-			c.put(fk, b, true)
-			c.stats.hit(g)
-			c.observeHit(g, start)
+			sh.put(g, key, b)
+			c.hit(g, start)
 			return b, true
 		}
 	}
-	c.stats.miss(g)
+	sh.stats.miss(g)
 	return nil, false
 }
 
 // PutBytes stores a serialized value, writing through to the artifact
-// store when one is configured.
+// store when one is configured and g is persisted.
 func (c *Cache) PutBytes(g Granularity, key string, b []byte) {
-	c.put(fullKey(g, key), b, true)
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store != nil {
+	sh := c.shared
+	sh.put(g, key, b)
+	if store := sh.Store(); store != nil && persisted(g) {
 		store.Put(string(g), key, b) //nolint:errcheck // cache write-through is best effort
 	}
 }
 
-func (c *Cache) put(fk string, v any, isBytes bool) {
+// get reads one entry of this cache's own memory and marks it used. The
+// value must be read under the lock: put overwrites entry.value in
+// place when a key is re-stored.
+func (c *Cache) get(g Granularity, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[fk]; ok {
-		e := el.Value.(*entry)
-		e.value, e.bytes = v, isBytes
-		c.order.MoveToFront(el)
+	s := c.segments[g]
+	if s == nil {
+		return nil, false
+	}
+	el, ok := s.entries[key]
+	if !ok {
+		return nil, false
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*entry).value, true
+}
+
+// put stores one entry in this cache's own memory, evicting the least
+// recently used entry of the same granularity beyond capacity.
+func (c *Cache) put(g Granularity, key string, v any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.segments[g]
+	if s == nil {
+		s = &segment{order: list.New(), entries: map[string]*list.Element{}}
+		c.segments[g] = s
+	}
+	if el, ok := s.entries[key]; ok {
+		el.Value.(*entry).value = v
+		s.order.MoveToFront(el)
 		return
 	}
-	c.entries[fk] = c.order.PushFront(&entry{key: fk, value: v, bytes: isBytes})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*entry).key)
+	s.entries[key] = s.order.PushFront(&entry{key: key, value: v})
+	for s.order.Len() > c.cap {
+		last := s.order.Back()
+		s.order.Remove(last)
+		delete(s.entries, last.Value.(*entry).key)
 	}
 }
 
-// Len reports the in-memory entry count across all granularities.
-func (c *Cache) Len() int {
+// Len reports how many entries of granularity g this cache holds in
+// memory. A scope holds only objects; the bytes put through it are
+// counted on the cache it was taken from.
+func (c *Cache) Len(g Granularity) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// InvalidatePrefix drops every in-memory entry of the granularity whose
-// key starts with the prefix (e.g. a design fingerprint), and reports
-// how many entries were dropped. The disk store is left alone — its
-// entries are content-addressed and simply stop being referenced.
-func (c *Cache) InvalidatePrefix(g Granularity, prefix string) int {
-	fp := fullKey(g, prefix)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry); strings.HasPrefix(e.key, fp) {
-			c.order.Remove(el)
-			delete(c.entries, e.key)
-			n++
-		}
-		el = next
+	if s := c.segments[g]; s != nil {
+		return s.order.Len()
 	}
-	return n
-}
-
-// Clear drops every in-memory entry.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
+	return 0
 }

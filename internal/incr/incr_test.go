@@ -63,8 +63,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.PutObject(GranContext, fmt.Sprintf("k%d", i), i)
 	}
-	if c.Len() != 16 {
-		t.Fatalf("len = %d, want 16", c.Len())
+	if n := c.Len(GranContext); n != 16 {
+		t.Fatalf("len = %d, want 16", n)
 	}
 	if _, ok := c.GetObject(GranContext, "k0"); ok {
 		t.Fatal("oldest entry survived eviction")
@@ -87,24 +87,94 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidatePrefixAndClear(t *testing.T) {
+func TestGranularitiesEvictIndependently(t *testing.T) {
+	// A many-mode family writes far more pair verdicts than cliques; the
+	// verdicts must age out among themselves, not push the cliques out.
 	c := New(16)
-	c.PutObject(GranContext, "aa1", 1)
-	c.PutObject(GranContext, "aa2", 2)
-	c.PutObject(GranContext, "bb1", 3)
-	c.PutObject(GranPair, "aa1", 4)
-	if n := c.InvalidatePrefix(GranContext, "aa"); n != 2 {
-		t.Fatalf("invalidated %d, want 2", n)
+	c.PutBytes(GranClique, "clique", []byte("artifact"))
+	for i := 0; i < 2*16; i++ {
+		c.PutBytes(GranPair, fmt.Sprintf("p%d", i), []byte{'M'})
 	}
-	if _, ok := c.GetObject(GranContext, "bb1"); !ok {
-		t.Fatal("unrelated entry invalidated")
+	if n := c.Len(GranPair); n != 16 {
+		t.Fatalf("pair entries = %d, want 16", n)
 	}
-	if _, ok := c.GetObject(GranPair, "aa1"); !ok {
-		t.Fatal("other granularity invalidated")
+	if b, ok := c.GetBytes(GranClique, "clique"); !ok || string(b) != "artifact" {
+		t.Fatalf("clique artifact evicted by pair verdicts: %q %v", b, ok)
 	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("len after Clear = %d", c.Len())
+}
+
+func TestScopeObjectsArePrivate(t *testing.T) {
+	root := New(16)
+	s1, s2 := root.Scope(), root.Scope()
+	s1.PutObject(GranContext, "k", 1)
+	s1.PutObject(GranMergedCtx, "m", 2)
+	if v, ok := s1.GetObject(GranContext, "k"); !ok || v.(int) != 1 {
+		t.Fatalf("scope lost its own object: %v %v", v, ok)
+	}
+	if _, ok := s2.GetObject(GranContext, "k"); ok {
+		t.Fatal("object visible in another scope")
+	}
+	if _, ok := root.GetObject(GranContext, "k"); ok {
+		t.Fatal("scoped object visible in the root cache")
+	}
+	if root.Len(GranContext) != 0 || root.Len(GranMergedCtx) != 0 {
+		t.Fatalf("root holds contexts: ctx=%d mctx=%d",
+			root.Len(GranContext), root.Len(GranMergedCtx))
+	}
+	// Objects put on the root stay invisible to scopes too.
+	root.PutObject(GranContext, "r", 3)
+	if _, ok := s1.GetObject(GranContext, "r"); ok {
+		t.Fatal("root object visible in a scope")
+	}
+}
+
+func TestScopeSharesBytesStatsAndObserver(t *testing.T) {
+	root := New(16)
+	var observed []Granularity
+	root.SetHitObserver(func(g Granularity, _ time.Duration) { observed = append(observed, g) })
+	s1, s2 := root.Scope(), root.Scope()
+	if s1.Stats() != root.Stats() {
+		t.Fatal("scope has its own counters")
+	}
+	s1.PutBytes(GranClique, "c", []byte("artifact"))
+	if b, ok := s2.GetBytes(GranClique, "c"); !ok || string(b) != "artifact" {
+		t.Fatalf("bytes not shared between scopes: %q %v", b, ok)
+	}
+	if _, ok := root.GetBytes(GranClique, "c"); !ok {
+		t.Fatal("bytes put through a scope missing from the root")
+	}
+	if n := s1.Len(GranClique); n != 0 {
+		t.Fatalf("scope holds %d byte entries, want 0", n)
+	}
+	s1.PutObject(GranContext, "k", 1)
+	s1.GetObject(GranContext, "k")
+	s2.GetObject(GranContext, "k") // miss: other scope
+	s2.GetBytes(GranPair, "none")  // miss
+	st := root.Stats().Snapshot()
+	if st.CliqueHits != 2 || st.ContextHits != 1 || st.ContextMisses != 1 || st.PairMisses != 1 {
+		t.Fatalf("scope lookups not counted on the root: %+v", st)
+	}
+	want := []Granularity{GranClique, GranClique, GranContext}
+	if fmt.Sprint(observed) != fmt.Sprint(want) {
+		t.Fatalf("root observer saw %v, want %v", observed, want)
+	}
+}
+
+func TestEquivVerdictsStayInMemory(t *testing.T) {
+	store := NewMemStore()
+	c := New(16).WithStore(store)
+	c.Scope().PutBytes(GranEquiv, "v", []byte("verdict"))
+	if store.Len() != 0 {
+		t.Fatalf("equiv verdict written to the artifact store (%d blobs)", store.Len())
+	}
+	if _, ok := c.GetBytes(GranEquiv, "v"); !ok {
+		t.Fatal("equiv verdict not replayed from memory")
+	}
+	// A store holding a verdict (e.g. written by another process) is
+	// never consulted for one.
+	store.Put(string(GranEquiv), "w", []byte("foreign")) //nolint:errcheck
+	if _, ok := New(16).WithStore(store).GetBytes(GranEquiv, "w"); ok {
+		t.Fatal("equiv verdict read from the artifact store")
 	}
 }
 
@@ -186,16 +256,20 @@ func TestDiskStoreIgnoresCorruptEntry(t *testing.T) {
 
 func TestCacheConcurrency(t *testing.T) {
 	c := New(64)
+	job := c.Scope() // one scope shared by several goroutines, like a job's merge workers
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
+			own := c.Scope()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", i%32)
-				c.PutBytes(GranPair, k, []byte{byte(i)})
-				c.GetBytes(GranPair, k)
-				c.PutObject(GranContext, k, i)
-				c.GetObject(GranContext, k)
+				for _, v := range []*Cache{c, job, own} {
+					v.PutBytes(GranPair, k, []byte{byte(i)})
+					v.GetBytes(GranPair, k)
+					v.PutObject(GranContext, k, i)
+					v.GetObject(GranContext, k)
+				}
 			}
 		}(w)
 	}
@@ -241,7 +315,9 @@ func TestHitObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PutBytes(GranClique, "cliq01", []byte("artifact"))
-	c.Clear()
+	for i := 0; i < 16; i++ { // push the memory copy out of the LRU
+		c.PutBytes(GranClique, fmt.Sprintf("fill%02d", i), []byte("x"))
+	}
 	if _, ok := c.GetBytes(GranClique, "cliq01"); !ok {
 		t.Fatal("disk promotion miss")
 	}

@@ -17,7 +17,7 @@ import (
 // hit-latency histograms, so every granularity's family exists from the
 // first scrape (zero observations) instead of appearing on first hit.
 var incrHitGranularities = []incr.Granularity{
-	incr.GranContext, incr.GranPair, incr.GranClique, incr.GranETM, incr.GranMergedCtx,
+	incr.GranContext, incr.GranPair, incr.GranClique, incr.GranETM, incr.GranMergedCtx, incr.GranEquiv,
 }
 
 // incrHitBuckets are the hit-latency histogram bounds in seconds. Cache
@@ -125,6 +125,12 @@ func (m *Metrics) incrSnapshot() incr.StatsSnapshot {
 		out.PairMisses += snap.PairMisses
 		out.CliqueHits += snap.CliqueHits
 		out.CliqueMisses += snap.CliqueMisses
+		out.ETMHits += snap.ETMHits
+		out.ETMMisses += snap.ETMMisses
+		out.MergedCtxHits += snap.MergedCtxHits
+		out.MergedCtxMisses += snap.MergedCtxMisses
+		out.EquivHits += snap.EquivHits
+		out.EquivMisses += snap.EquivMisses
 	}
 	return out
 }
@@ -317,7 +323,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		obs.Series{Labels: []string{"granularity", "pair", "event", "hit"}, Value: float64(ic.PairHits)},
 		obs.Series{Labels: []string{"granularity", "pair", "event", "miss"}, Value: float64(ic.PairMisses)},
 		obs.Series{Labels: []string{"granularity", "clique", "event", "hit"}, Value: float64(ic.CliqueHits)},
-		obs.Series{Labels: []string{"granularity", "clique", "event", "miss"}, Value: float64(ic.CliqueMisses)})
+		obs.Series{Labels: []string{"granularity", "clique", "event", "miss"}, Value: float64(ic.CliqueMisses)},
+		obs.Series{Labels: []string{"granularity", "equiv", "event", "hit"}, Value: float64(ic.EquivHits)},
+		obs.Series{Labels: []string{"granularity", "equiv", "event", "miss"}, Value: float64(ic.EquivMisses)})
 	rt := sampleRuntime()
 	pw.Gauge("modemerged_runtime_goroutines", "Goroutines currently live in the process.",
 		obs.Series{Value: float64(rt.Goroutines)})

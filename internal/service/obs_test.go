@@ -116,6 +116,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`modemerged_incr_cache_hit_seconds_count{granularity="clique"}`,
 		`modemerged_incr_cache_hit_seconds_count{granularity="etm"}`,
 		`modemerged_incr_cache_hit_seconds_count{granularity="mctx"}`,
+		`modemerged_incr_cache_hit_seconds_count{granularity="equiv"}`,
+		`modemerged_incr_cache_events_total{granularity="equiv",event="hit"}`,
+		`modemerged_incr_cache_events_total{granularity="equiv",event="miss"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -71,9 +71,11 @@ type Config struct {
 	// jobs stay available for status polling; beyond it the oldest
 	// terminal jobs are evicted from the job table. Default 1024.
 	JobHistoryLimit int
-	// IncrCacheSize bounds the incremental sub-merge cache (per-mode
-	// timing contexts, pair verdicts, clique artifacts — see
-	// internal/incr) shared by all jobs. Default 4096 entries.
+	// IncrCacheSize bounds the incremental sub-merge cache (pair
+	// verdicts, clique artifacts, equivalence verdicts — see
+	// internal/incr) shared by all jobs: N entries per granularity,
+	// 4096 when <= 0. Timing contexts are cached per job only and freed
+	// when the job ends.
 	IncrCacheSize int
 	// IncrCacheDir persists pair verdicts and clique artifacts on disk so
 	// warm-start reruns survive restarts. Empty = memory only. An
@@ -539,7 +541,10 @@ func (s *Server) execute(ctx context.Context, job *Job, req *MergeRequest) (*Res
 		STA:                 sta.Options{Workers: req.Options.Workers},
 		StageHook:           observe,
 		Trace:               root,
-		Cache:               s.incr,
+		// A job-scoped view: the merge and validate stages share the
+		// job's timing contexts, which are freed when the job ends,
+		// while artifacts and verdicts persist in the server's cache.
+		Cache: s.incr.Scope(),
 	}
 	mb, cliques, err := core.PlanMerge(prep.graph, modes, opt)
 	if err != nil {

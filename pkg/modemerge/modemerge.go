@@ -193,7 +193,7 @@ type Cache struct {
 }
 
 // NewCache creates an in-memory incremental cache bounded to capacity
-// entries across all granularities (<= 0 selects the default, 4096).
+// entries per granularity (<= 0 selects the default, 4096).
 func NewCache(capacity int) *Cache {
 	return &Cache{c: incr.New(capacity)}
 }
