@@ -166,7 +166,7 @@ func (mg *Merger) checkEquivalence(cx context.Context) (*EquivalenceResult, erro
 	// pure accumulation instead of one fan-in cone propagation per
 	// endpoint and context. Only the propagation is shared: the check
 	// still gathers and classifies every forwarded endpoint, with no
-	// fingerprint pruning and no outcome replay.
+	// outcome replay.
 	p2 := esp.Child("equiv_pass2")
 	ends := pass2.sorted()
 	type sePair struct{ start, end string }

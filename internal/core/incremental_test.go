@@ -217,12 +217,15 @@ func TestIncrementalDiskCache(t *testing.T) {
 }
 
 // TestOptionsKeyExcludesParallelism pins the cache-key contract: results
-// cached at one parallelism are valid at every other, while every
+// cached at one parallelism or Slow setting are valid at every other, while every
 // result-affecting option changes the key.
 func TestOptionsKeyExcludesParallelism(t *testing.T) {
 	base := Options{}.incrOptionsKey()
 	if got := (Options{Parallelism: 7}).incrOptionsKey(); got != base {
 		t.Fatal("Parallelism leaked into the options key")
+	}
+	if got := (Options{Slow: SlowPaths{NoRelationCache: true, NoCacheTransfer: true}}).incrOptionsKey(); got != base {
+		t.Fatal("Slow knobs leaked into the options key")
 	}
 	if got := (Options{Tolerance: 0.5}).incrOptionsKey(); got == base {
 		t.Fatal("Tolerance missing from the options key")

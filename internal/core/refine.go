@@ -392,22 +392,14 @@ func sortedRelKeys[V any](m map[sta.RelKey]V) []sta.RelKey {
 	return keys
 }
 
-// relGranularity selects which fingerprint memo an endpoint prune
-// consults: pass-1 (endpoint) or pass-2 (start–end) relation maps.
+// relGranularity selects which shared propagation warmContexts forces:
+// the pass-1 (endpoint) or the pass-2 (start–end) relation maps.
 type relGranularity int
 
 const (
 	granEndpoint relGranularity = iota
 	granStartEnd
 )
-
-// relFP is one memoized endpoint fingerprint: the canonical hash of the
-// endpoint's relation map (sta.RelationFingerprint) plus whether every
-// state set in it is a singleton.
-type relFP struct {
-	hash   string
-	single bool
-}
 
 // epOutcome records one endpoint's complete pass-1 (or pass-2) effect in
 // an iteration that produced no fixes for it: the report-counter deltas
@@ -420,7 +412,6 @@ type relFP struct {
 // itself, so it lands in the invalidation frontier.
 type epOutcome struct {
 	ambiguous, mismatch, pessim int
-	pruned                      bool
 	forwarded                   bool     // pass 1: endpoint goes to pass 2
 	forwardStarts               []string // pass 2: starts forwarded to pass 3
 }
@@ -432,73 +423,24 @@ type pairOutcome struct {
 }
 
 // refineMemo carries refinement state across iterations of the 3-pass
-// loop. Member-mode fingerprints stay valid for the whole merge (member
-// contexts never change); merged-mode fingerprints and recorded
-// endpoint/pair outcomes are dropped per endpoint when new exceptions
-// invalidate them (rebuildMergedForRefine). pending collects the
-// exceptions added since the last merged rebuild — their pins define the
-// invalidation frontier.
+// loop: the recorded endpoint/pair outcomes, dropped per endpoint when new
+// exceptions invalidate them (rebuildMergedForRefine). pending collects
+// the exceptions added since the last merged rebuild — their pins define
+// the invalidation frontier.
 type refineMemo struct {
-	mu       sync.Mutex
-	memberP1 []map[graph.NodeID]relFP
-	memberSE []map[graph.NodeID]relFP
-	mergedP1 map[graph.NodeID]relFP
-	mergedSE map[graph.NodeID]relFP
-	pending  []*sdc.Exception
+	pending []*sdc.Exception
 
 	p1Out map[graph.NodeID]*epOutcome
 	p2Out map[graph.NodeID]*epOutcome
 	p3Out map[[2]graph.NodeID]*pairOutcome
-
-	viableOnce sync.Once
-	viable     bool
 }
 
-// table returns (creating lazily) the fingerprint table for context m at
-// the given granularity; m == nModes addresses the merged context.
-func (mm *refineMemo) table(m int, gran relGranularity, nModes int) map[graph.NodeID]relFP {
-	if m == nModes {
-		if gran == granEndpoint {
-			if mm.mergedP1 == nil {
-				mm.mergedP1 = map[graph.NodeID]relFP{}
-			}
-			return mm.mergedP1
-		}
-		if mm.mergedSE == nil {
-			mm.mergedSE = map[graph.NodeID]relFP{}
-		}
-		return mm.mergedSE
-	}
-	tables := &mm.memberP1
-	if gran == granStartEnd {
-		tables = &mm.memberSE
-	}
-	if *tables == nil {
-		*tables = make([]map[graph.NodeID]relFP, nModes)
-	}
-	if (*tables)[m] == nil {
-		(*tables)[m] = map[graph.NodeID]relFP{}
-	}
-	return (*tables)[m]
-}
-
-// dropMerged invalidates merged-mode state — fingerprints and recorded
-// outcomes: all of it when affected is nil, otherwise only the endpoints
-// marked affected.
+// dropMerged invalidates recorded outcomes: all of them when affected is
+// nil, otherwise only those of the endpoints marked affected.
 func (mm *refineMemo) dropMerged(affected []bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
 	if affected == nil {
-		mm.mergedP1, mm.mergedSE = nil, nil
 		mm.p1Out, mm.p2Out, mm.p3Out = nil, nil, nil
 		return
-	}
-	for _, tbl := range []map[graph.NodeID]relFP{mm.mergedP1, mm.mergedSE} {
-		for end := range tbl {
-			if affected[end] {
-				delete(tbl, end)
-			}
-		}
 	}
 	for _, tbl := range []map[graph.NodeID]*epOutcome{mm.p1Out, mm.p2Out} {
 		for end := range tbl {
@@ -537,150 +479,6 @@ func (mm *refineMemo) recordP3(pair [2]graph.NodeID, o *pairOutcome) {
 		mm.p3Out = map[[2]graph.NodeID]*pairOutcome{}
 	}
 	mm.p3Out[pair] = o
-}
-
-// mapModeRels rewrites a mode-local relation map into the merged clock
-// namespace (two local keys may collapse onto one merged key; their sets
-// union, exactly as gatherGroups would accumulate them).
-func (mg *Merger) mapModeRels(m int, rels map[sta.RelKey]relation.Set) map[sta.RelKey]relation.Set {
-	out := make(map[sta.RelKey]relation.Set, len(rels))
-	for k, set := range rels {
-		mk := mg.mapRelKey(m, k)
-		cur := out[mk]
-		cur.AddSet(set)
-		out[mk] = cur
-	}
-	return out
-}
-
-// endpointFP returns the memoized relation fingerprint of one endpoint in
-// context m (m == len(ctxs) is the merged context) at the given
-// granularity. Member maps are fingerprinted in the merged clock
-// namespace so they compare across modes and against the merged mode.
-func (mg *Merger) endpointFP(m int, end graph.NodeID, gran relGranularity) relFP {
-	mm := &mg.memo
-	mm.mu.Lock()
-	tbl := mm.table(m, gran, len(mg.ctxs))
-	if fp, ok := tbl[end]; ok {
-		mm.mu.Unlock()
-		return fp
-	}
-	mm.mu.Unlock()
-	var rels map[sta.RelKey]relation.Set
-	switch {
-	case m == len(mg.ctxs) && gran == granEndpoint:
-		rels = mg.mctx.EndpointRelationsAt(end)
-	case m == len(mg.ctxs):
-		rels = mg.mctx.StartEndRelations(end)
-	case gran == granEndpoint:
-		rels = mg.mapModeRels(m, mg.ctxs[m].EndpointRelationsAt(end))
-	default:
-		rels = mg.mapModeRels(m, mg.ctxs[m].StartEndRelations(end))
-	}
-	hash, single := sta.RelationFingerprint(rels)
-	fp := relFP{hash: hash, single: single}
-	mm.mu.Lock()
-	mm.table(m, gran, len(mg.ctxs))[end] = fp
-	mm.mu.Unlock()
-	return fp
-}
-
-// pruneViable reports (computed once per merge) whether the cross-mode
-// fingerprint prune can ever fire: relation maps compare in the merged
-// clock namespace, so two modes' maps can only be key-equal when both
-// modes' clocks map onto the same merged clock-name set. Modes whose
-// clocks stay apart in the union (different periods or waveforms) can
-// never agree at any endpoint that has relations — fingerprinting them
-// is pure overhead, and the prune short-circuits to "not prunable".
-func (mg *Merger) pruneViable() bool {
-	mm := &mg.memo
-	mm.viableOnce.Do(func() {
-		var ref map[string]bool
-		for m, ctx := range mg.ctxs {
-			set := map[string]bool{}
-			for _, ci := range ctx.Clocks {
-				set[mg.cmap.mapName(m, ci.Def.Name)] = true
-			}
-			if m == 0 {
-				ref = set
-				continue
-			}
-			if len(set) != len(ref) {
-				return
-			}
-			for name := range set {
-				if !ref[name] {
-					return
-				}
-			}
-		}
-		mm.viable = true
-	})
-	return mm.viable
-}
-
-// pruneEndpoint reports whether an endpoint provably produces no
-// counters, no forwarding, and no fixes in a comparison pass, so the
-// pass can skip it without changing a single output byte. That holds
-// exactly when every mode's relation map (merged namespace) is the same
-// all-singleton map AND the merged mode's map equals it too: then every
-// path group's target is its own merged state — Compare returns Match
-// for all of them, which is the one classification with zero side
-// effects. Identical-but-multi-state maps are NOT prunable (the slow
-// path counts them ambiguous and forwards the endpoint).
-func (mg *Merger) pruneEndpoint(end graph.NodeID, gran relGranularity) bool {
-	first := mg.endpointFP(0, end, gran)
-	if !first.single {
-		return false
-	}
-	for m := 1; m < len(mg.ctxs); m++ {
-		if mg.endpointFP(m, end, gran).hash != first.hash {
-			return false
-		}
-	}
-	if mg.opt.Inject.PruneSkipDifferingEndpoints {
-		// Injected bug: agreement between the members alone "justifies"
-		// the prune — the merged mode is never consulted, so a merged
-		// context that relaxes the members' common relation (optimism)
-		// slips through unfixed.
-		return true
-	}
-	return mg.endpointFP(len(mg.ctxs), end, gran).hash == first.hash
-}
-
-// prunePair reports whether a pass-3 pair provably emits nothing: every
-// context's live start→end cone is divergence-free (at most one live
-// out-arc per node ⇒ a single live chain), and all contexts with a live
-// path share the same chain. Then every interior node lies on every live
-// path, its per-context state sets replicate the pair's pass-2 sets, and
-// the through-point scan can only rediscover the pass-2 ambiguity that
-// forwarded the pair — hitting `continue` at every node. Reconvergent
-// cones (the case pass 3 exists for) are Divergent somewhere and are
-// never pruned.
-func (mg *Merger) prunePair(startID, endID graph.NodeID) bool {
-	var ref sta.PairProfile
-	have := false
-	for m := 0; m <= len(mg.ctxs); m++ {
-		ctx := mg.mctx
-		if m < len(mg.ctxs) {
-			ctx = mg.ctxs[m]
-		}
-		p := ctx.PairProfile(startID, endID)
-		if p.Divergent {
-			return false
-		}
-		if !p.HasLive {
-			continue
-		}
-		if !have {
-			ref, have = p, true
-			continue
-		}
-		if p.LiveHash != ref.LiveHash {
-			return false
-		}
-	}
-	return true
 }
 
 // warmContexts decides, per context and in parallel, whether to force the
@@ -731,15 +529,13 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		p1.Finish()
 		return 0, err
 	}
-	usePrune := !mg.opt.Slow.NoEndpointPrune && mg.pruneViable()
-	// Per-endpoint gather (and prune fingerprinting) runs in parallel;
+	// Per-endpoint gather runs in parallel;
 	// classification and fix emission stay sequential, in graph endpoint
 	// order with sorted keys, so emitted constraints and counters are
 	// deterministic. Endpoints with a recorded outcome from the previous
 	// iteration replay it without touching any relation map.
 	type endpointWork struct {
 		replay *epOutcome
-		pruned bool
 		groups map[sta.RelKey]*groupStates
 		keys   []sta.RelKey
 	}
@@ -748,10 +544,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		endID := ends[i]
 		if o := mg.memo.p1Out[endID]; o != nil {
 			work[i].replay = o
-			return
-		}
-		if usePrune && mg.pruneEndpoint(endID, granEndpoint) {
-			work[i].pruned = true
 			return
 		}
 		perMode := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
@@ -765,7 +557,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		p1.Finish()
 		return 0, err
 	}
-	// Pruned and replayed endpoints' groups are absent from `groups`, as
+	// Replayed endpoints' groups are absent from `groups`, as
 	// are those of computed endpoints without fixes. That is safe for
 	// emitFixes: its closure checks only ever look up groups at the
 	// endpoints of the fixes themselves, and fix endpoints' groups are all
@@ -773,7 +565,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	groups := map[sta.RelKey]*groupStates{}
 	pass2 := nameSet{} // ambiguous endpoints forwarded to pass 2
 	var p1Fixes []fixEntry
-	p1Groups, p1Pruned, p1Replayed := 0, 0, 0
+	p1Groups, p1Replayed := 0, 0
 	for i := range work {
 		endID := ends[i]
 		if o := work[i].replay; o != nil {
@@ -781,17 +573,9 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			mg.Report.Pass1Ambiguous += o.ambiguous
 			mg.Report.Pass1Mismatch += o.mismatch
 			mg.Report.PessimisticGroups += o.pessim
-			if o.pruned {
-				p1Pruned++
-			}
 			if o.forwarded {
 				pass2.add(mg.g.Node(endID).Name)
 			}
-			continue
-		}
-		if work[i].pruned {
-			p1Pruned++
-			mg.memo.recordP1(endID, &epOutcome{pruned: true})
 			continue
 		}
 		o := &epOutcome{}
@@ -840,7 +624,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	added += mg.emitFixes(p1Fixes, groups, "data_refine/pass1", "§3.2 pass-1 endpoint comparison")
 	p1.Add("path_groups", int64(p1Groups))
 	p1.Add("fixes", int64(len(p1Fixes)))
-	p1.Add("pruned_endpoints", int64(p1Pruned))
 	p1.Add("replayed_endpoints", int64(p1Replayed))
 	p1.Finish()
 
@@ -864,7 +647,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	}
 	type sePair struct{ start, end string }
 	pass3 := map[sePair]bool{}
-	// Per-endpoint relations (and prune fingerprints) compute in parallel
+	// Per-endpoint relations compute in parallel
 	// (contexts are safe for concurrent relation queries); comparison
 	// stays sequential and deterministic. Fixes and fix endpoints' groups
 	// accumulate across endpoints so the emission step can aggregate
@@ -875,10 +658,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		endID := pass2IDs[i]
 		if o := mg.memo.p2Out[endID]; o != nil {
 			seWork[i].replay = o
-			return
-		}
-		if usePrune && mg.pruneEndpoint(endID, granStartEnd) {
-			seWork[i].pruned = true
 			return
 		}
 		perModeSE := make([]map[sta.RelKey]relation.Set, len(mg.ctxs))
@@ -894,7 +673,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	}
 	allSEGroups := map[sta.RelKey]*groupStates{}
 	var p2Fixes []fixEntry
-	p2Groups, p2Pruned, p2Replayed := 0, 0, 0
+	p2Groups, p2Replayed := 0, 0
 	for i := range seWork {
 		endID := pass2IDs[i]
 		endName := pass2Ends[i]
@@ -903,17 +682,9 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			mg.Report.Pass2Ambiguous += o.ambiguous
 			mg.Report.Pass2Mismatch += o.mismatch
 			mg.Report.PessimisticGroups += o.pessim
-			if o.pruned {
-				p2Pruned++
-			}
 			for _, start := range o.forwardStarts {
 				pass3[sePair{start, endName}] = true
 			}
-			continue
-		}
-		if seWork[i].pruned {
-			p2Pruned++
-			mg.memo.recordP2(endID, &epOutcome{pruned: true})
 			continue
 		}
 		o := &epOutcome{}
@@ -959,7 +730,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	p2.Add("endpoints", int64(len(pass2Ends)))
 	p2.Add("path_groups", int64(p2Groups))
 	p2.Add("fixes", int64(len(p2Fixes)))
-	p2.Add("pruned_endpoints", int64(p2Pruned))
 	p2.Add("replayed_endpoints", int64(p2Replayed))
 	p2.Finish()
 
@@ -976,16 +746,14 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		}
 		return pairs[i].end < pairs[j].end
 	})
-	// Relations per pair (and reconvergence prunes) compute in parallel;
+	// Relations per pair compute in parallel;
 	// comparison and constraint emission stay sequential and
 	// deterministic.
-	usePairPrune := !mg.opt.Slow.NoPairPrune
 	type p3data struct {
 		perMode [][]sta.ThroughRel
 		merged  []sta.ThroughRel
 		ids     [2]graph.NodeID
 		replay  *pairOutcome
-		skip    bool
 		err     error
 	}
 	data := make([]p3data, len(pairs))
@@ -1001,10 +769,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			data[i].replay = o
 			return
 		}
-		if usePairPrune && mg.prunePair(startID, endID) {
-			data[i].skip = true
-			return
-		}
 		perMode := make([][]sta.ThroughRel, len(mg.ctxs))
 		for m, ctx := range mg.ctxs {
 			perMode[m] = ctx.ThroughRelations(startID, endID)
@@ -1015,7 +779,7 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 	if err := cx.Err(); err != nil {
 		return added, err
 	}
-	p3Pruned, p3Replayed := 0, 0
+	p3Replayed := 0
 	for i, p := range pairs {
 		if data[i].err != nil {
 			return added, data[i].err
@@ -1024,10 +788,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 			p3Replayed++
 			mg.Report.Pass3Mismatch += o.mismatch
 			mg.Report.PessimisticGroups += o.pessim
-			continue
-		}
-		if data[i].skip {
-			p3Pruned++
 			continue
 		}
 		mis0, pes0 := mg.Report.Pass3Mismatch, mg.Report.PessimisticGroups
@@ -1046,7 +806,6 @@ func (mg *Merger) threePass(cx context.Context, sp *obs.Span) (int, error) {
 		}
 	}
 	p3.Add("pairs", int64(len(pairs)))
-	p3.Add("pruned_pairs", int64(p3Pruned))
 	p3.Add("replayed_pairs", int64(p3Replayed))
 	return added, nil
 }
@@ -1366,8 +1125,8 @@ func (mg *Merger) addFalsePath(e *sdc.Exception, stage, rule, detail string) {
 // exceptions added this iteration: an exception-only rebuild changes
 // nothing but exceptions, and a new exception can only complete at
 // endpoints its pins reach, so relation results everywhere else are
-// untouched. The invalidated endpoints also lose their merged
-// fingerprints in the prune memo.
+// untouched. The invalidated endpoints also lose their recorded
+// outcomes.
 func (mg *Merger) rebuildMergedForRefine() error {
 	prev := mg.mctx
 	pending := mg.memo.pending

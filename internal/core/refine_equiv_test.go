@@ -14,22 +14,17 @@ import (
 	"modemerge/internal/sdc"
 )
 
-// slowPathFixtures are two fixed designs chosen so the optimizations the
-// SlowPaths knobs disable actually execute on the fast path (verified by
-// TestSlowKnobCoverage below):
+// slowPathFixtures are two fixed designs for the SlowPaths equivalence
+// tests:
 //
 //   - "functional": a functional-only family — every mode of a group
-//     creates the same clocks, so the cross-mode fingerprint prune is
-//     viable and pass 1 prunes agreeing endpoints (NoEndpointPrune flips
-//     live behaviour);
-//   - "variants": the generator's scan/test variants — prune is not
-//     viable, but refinement takes multiple iterations, so the
-//     merged-context memo replays endpoints across rebuilds
-//     (NoCacheTransfer and NoRelationCache flip live behaviour) and
-//     pass 3 consults the reconvergence prune on every forwarded pair
-//     (NoPairPrune flips the consultation; the skip branch itself never
-//     fires on generated designs — their forwarded pairs always have a
-//     reconvergent cone, which is exactly what the prune must refuse).
+//     creates the same clocks, so each group's merged clock namespace
+//     coincides with every member's;
+//   - "variants": the generator's scan/test variants — refinement takes
+//     multiple iterations, so the merged-context memo replays endpoints
+//     across rebuilds (NoCacheTransfer and NoRelationCache flip live
+//     behaviour, verified by TestSlowKnobCoverage below) and pass 3 scans
+//     forwarded pairs.
 func slowPathFixtures(t *testing.T) []struct {
 	name  string
 	g     *graph.Graph
@@ -117,8 +112,6 @@ func slowFingerprint(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Option
 func slowKnobs() map[string]SlowPaths {
 	return map[string]SlowPaths{
 		"NoRelationCache": {NoRelationCache: true},
-		"NoEndpointPrune": {NoEndpointPrune: true},
-		"NoPairPrune":     {NoPairPrune: true},
 		"NoCacheTransfer": {NoCacheTransfer: true},
 	}
 }
@@ -137,8 +130,7 @@ func TestSlowKnobEquivalence(t *testing.T) {
 				t.Fatal("empty baseline fingerprint")
 			}
 			cases := slowKnobs()
-			cases["all"] = SlowPaths{NoRelationCache: true, NoEndpointPrune: true,
-				NoPairPrune: true, NoCacheTransfer: true}
+			cases["all"] = SlowPaths{NoRelationCache: true, NoCacheTransfer: true}
 			for name, slow := range cases {
 				for _, p := range []int{1, 4} {
 					got := slowFingerprint(t, fx.g, fx.modes, Options{Parallelism: p, Slow: slow})
@@ -255,36 +247,62 @@ func mergeCounters(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Options)
 	return c
 }
 
-// TestSlowKnobCoverage proves the equivalence test above is not vacuous:
-// on its fixtures the fast path actually prunes endpoints, replays
-// memoized endpoints across refinement iterations, and consults the
-// pass-3 pair prune — and disabling the matching knob makes the counter
-// drop to zero.
-func TestSlowKnobCoverage(t *testing.T) {
-	fxs := slowPathFixtures(t)
-	functional, variants := fxs[0], fxs[1]
+// mergedRelCacheLookups merges the family's first multi-mode clique and
+// returns the merged context's relation-memo hits+misses.
+func mergedRelCacheLookups(t *testing.T, g *graph.Graph, modes []*sdc.Mode, opt Options) int64 {
+	t.Helper()
+	_, cliques, err := PlanMerge(g, modes, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clique := range cliques {
+		if len(clique) < 2 {
+			continue
+		}
+		var group []*sdc.Mode
+		for _, m := range clique {
+			group = append(group, modes[m])
+		}
+		mg, err := newMergerWithGraph(context.Background(), g, group, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mg.Merge(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := mg.mctx.RelCacheStats()
+		return hits + misses
+	}
+	t.Fatal("no multi-mode clique")
+	return 0
+}
 
-	fast := mergeCounters(t, functional.g, functional.modes, Options{Parallelism: 1})
-	if fast["pruned_endpoints"] == 0 {
-		t.Error("functional fixture: endpoint prune never fired on the fast path")
-	}
-	noPrune := mergeCounters(t, functional.g, functional.modes,
-		Options{Parallelism: 1, Slow: SlowPaths{NoEndpointPrune: true}})
-	if noPrune["pruned_endpoints"] != 0 {
-		t.Errorf("NoEndpointPrune still pruned %d endpoints", noPrune["pruned_endpoints"])
-	}
+// TestSlowKnobCoverage proves the equivalence test above is not vacuous:
+// on its fixtures the fast path actually reads the relation memo and
+// replays memoized endpoints across refinement iterations — and
+// disabling the matching knob makes the counter drop to zero.
+func TestSlowKnobCoverage(t *testing.T) {
+	variants := slowPathFixtures(t)[1]
 
 	vfast := mergeCounters(t, variants.g, variants.modes, Options{Parallelism: 1})
 	if vfast["replayed_endpoints"] == 0 {
 		t.Error("variants fixture: endpoint memo never replayed on the fast path")
 	}
 	if vfast["pairs"] == 0 {
-		t.Error("variants fixture: no pass-3 pairs — pair prune never consulted")
+		t.Error("variants fixture: no pass-3 pairs")
 	}
 	noTransfer := mergeCounters(t, variants.g, variants.modes,
 		Options{Parallelism: 1, Slow: SlowPaths{NoCacheTransfer: true}})
 	if noTransfer["replayed_endpoints"] != 0 {
 		t.Errorf("NoCacheTransfer still replayed %d endpoints", noTransfer["replayed_endpoints"])
+	}
+
+	if n := mergedRelCacheLookups(t, variants.g, variants.modes, Options{Parallelism: 1}); n == 0 {
+		t.Error("variants fixture: merged context never consulted the relation memo on the fast path")
+	}
+	if n := mergedRelCacheLookups(t, variants.g, variants.modes,
+		Options{Parallelism: 1, Slow: SlowPaths{NoRelationCache: true}}); n != 0 {
+		t.Errorf("NoRelationCache still recorded %d relation-memo lookups", n)
 	}
 }
 

@@ -608,7 +608,7 @@ func RelationTable(rels map[RelKey]relation.Set) []string {
 	for k := range rels {
 		keys = append(keys, k)
 	}
-	sortRelKeys(keys)
+	SortRelKeys(keys)
 	var out []string
 	for _, k := range keys {
 		out = append(out, fmt.Sprintf("%s -> %s [%s/%s %s]: %s",
@@ -618,11 +618,8 @@ func RelationTable(rels map[RelKey]relation.Set) []string {
 }
 
 // SortRelKeys sorts relation keys by (End, Start, Launch, Capture,
-// Check) — the deterministic comparison order shared by the refinement
-// passes and the relation fingerprint.
-func SortRelKeys(keys []RelKey) { sortRelKeys(keys) }
-
-func sortRelKeys(keys []RelKey) {
+// Check) — the deterministic comparison order of the refinement passes.
+func SortRelKeys(keys []RelKey) {
 	slices.SortFunc(keys, func(a, b RelKey) int {
 		if c := strings.Compare(a.End, b.End); c != 0 {
 			return c
